@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke bench bench-overhead bench-faults bench-isolate bench-memo bench-fleet bench-sync bench-steady bench-gate bench-smoke
+.PHONY: build test vet race check ci fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke perfbench bench bench-overhead bench-faults bench-isolate bench-memo bench-fleet bench-sync bench-steady bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -37,14 +37,16 @@ ci: build vet test race fuzz-smoke fleet-smoke crash-torture daemon-smoke
 
 # fuzz gives each native fuzz target a short budget. The targets guard the
 # untrusted-input parsers — the fault-plan grammar, the binary program codec,
-# and the supervisor wire protocol (frames and point specs) — plus the
-# salvaging journal decoder, the crash-recovery path.
+# the supervisor wire protocol (frames and point specs), and the point codec
+# that decodes cache entries and worker/node results — plus the salvaging
+# journal decoder, the crash-recovery path.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalProgram -fuzztime 10s ./internal/classfile/
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/pointproto/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSpec -fuzztime 10s ./internal/pointproto/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalHello -fuzztime 10s ./internal/pointproto/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePoint -fuzztime 10s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/metrics/
 
 # fuzz-smoke is the CI-sized version of fuzz: a few seconds per target,
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 3s ./internal/pointproto/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSpec -fuzztime 3s ./internal/pointproto/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalHello -fuzztime 3s ./internal/pointproto/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePoint -fuzztime 3s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 3s ./internal/metrics/
 
 # fleet-smoke is the shell-level distributed smoke: the real binary runs a
@@ -82,6 +85,12 @@ crash-torture:
 # TestDaemonOverloadGate, and TestDaemonCrashRecovery.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
+
+# perfbench runs the repository benchmark (perfbench/, declared in
+# BENCHMARK.json): every workload untraced and then traced, at the default
+# seed and run length. It takes several minutes, so ci does not run it.
+perfbench:
+	bash perfbench/all.sh
 
 # bench regenerates BENCH_1.json from the headline figure benchmarks.
 bench:
@@ -112,8 +121,8 @@ bench-memo:
 
 # bench-fleet regenerates BENCH_7.json: the socket transport's coordination
 # overhead on the Fig. 7 hot path — bare vs every point dispatched to two
-# loopback executor nodes (framing, gob, scheduling, loopback TCP). The
-# fleet_vs_bare comparison is significance-tested; figures are
+# loopback executor nodes (framing, result encoding, scheduling, loopback
+# TCP). The fleet_vs_bare comparison is significance-tested; figures are
 # byte-identical either way, so the number is pure transport cost.
 bench-fleet:
 	./bench.sh BENCH_7.json fleet

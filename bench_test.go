@@ -180,13 +180,13 @@ func BenchmarkFig7EDPMemo(b *testing.B) {
 
 // BenchmarkFig7EDPFleet regenerates Figure 7 through the socket transport:
 // every point dispatched to one of two loopback executor nodes and its
-// result gob carried back over TCP. The nodes persist across iterations;
-// the coordinator is fresh per iteration (its success memo would otherwise
-// turn later iterations into pure dedupe hits). The delta against
-// BenchmarkFig7EDP prices the coordination overhead — framing, gob,
-// scheduling, loopback TCP — on the hottest figure path; bench.sh's fleet
-// mode records both in BENCH_7.json. The iteration fails unless points
-// actually flowed through the fleet.
+// encoded result carried back over TCP. The nodes persist across
+// iterations; the coordinator is fresh per iteration (its success memo
+// would otherwise turn later iterations into pure dedupe hits). The delta
+// against BenchmarkFig7EDP prices the coordination overhead — framing,
+// result encoding, scheduling, loopback TCP — on the hottest figure path;
+// bench.sh's fleet mode records both in BENCH_7.json. The iteration fails
+// unless points actually flowed through the fleet.
 func BenchmarkFig7EDPFleet(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var dones []chan struct{}
@@ -286,6 +286,41 @@ func BenchmarkMetricsCounter(b *testing.B) {
 	}
 	if c.Value() != int64(b.N) {
 		b.Fatal("count mismatch")
+	}
+}
+
+// BenchmarkDiskCacheHit prices one warm disk-cache hit, the unit of work a
+// campaign over a warm cache repeats: a fresh runner (as each daemon job
+// has) reads one persisted point, verifies its envelope and decodes it.
+// The iteration fails unless every Run was served from disk.
+func BenchmarkDiskCacheHit(b *testing.B) {
+	bench, err := workloads.ByName("_209_db")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := experiments.Point{Bench: bench, Flavor: vm.Jikes, Collector: "GenMS", HeapMB: 48, Platform: platform.P6()}
+	dir := b.TempDir()
+	warm := experiments.NewRunner(io.Discard)
+	warm.Quick = true
+	warm.CacheDir = dir
+	if _, err := warm.Run(p); err != nil {
+		b.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := experiments.NewRunner(io.Discard)
+		r.Quick = true
+		r.CacheDir = dir
+		r.Metrics = reg
+		if _, err := r.Run(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if hits := reg.Counter("experiments.diskcache.hits").Value(); hits != int64(b.N) {
+		b.Fatalf("%d disk hits in %d runs", hits, b.N)
 	}
 }
 

@@ -73,7 +73,7 @@ var modes = map[string]modeSpec{
 		},
 	},
 	"fleet": {
-		description: "Distributed-execution coordination overhead on the Fig. 7 hot path: bare (in-process) vs every point dispatched to two loopback executor nodes over the socket transport (framing, gob encode/decode, scheduling, loopback TCP; the benchmark fails unless points actually flowed through the fleet). The fleet_vs_bare comparison is Mann–Whitney-tested with a bootstrap CI on the effect. Figures are byte-identical either way — the cross-node determinism gate enforces it — so this number is pure transport cost, amortized across real campaigns by node parallelism that a single-machine loopback run deliberately does not exploit.",
+		description: "Distributed-execution coordination overhead on the Fig. 7 hot path: bare (in-process) vs every point dispatched to two loopback executor nodes over the socket transport (framing, point-codec encode/decode, scheduling, loopback TCP; the benchmark fails unless points actually flowed through the fleet). The fleet_vs_bare comparison is Mann–Whitney-tested with a bootstrap CI on the effect. Figures are byte-identical either way — the cross-node determinism gate enforces it — so this number is pure transport cost, amortized across real campaigns by node parallelism that a single-machine loopback run deliberately does not exploit.",
 		comparisons: []comparisonSpec{{"fleet_vs_bare", "BenchmarkFig7EDPFleet", "BenchmarkFig7EDP"}},
 	},
 	"sync": {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -21,10 +21,10 @@ import (
 // format version. Reruns of `cmd/experiments -all` with a warm cache
 // recompute only points whose key changed.
 //
-// Entries are self-verifying: the gob payload travels inside an envelope
-// of magic, format version, and a CRC32C of the payload, so a truncated,
-// bit-flipped, or foreign file can never be silently decoded into wrong
-// figure data. An entry that fails any of those checks is quarantined —
+// Entries are self-verifying: the point-codec payload (pointcodec.go)
+// travels inside an envelope of magic, format version, and a CRC32C of the
+// payload, so a truncated, bit-flipped, or foreign file can never be
+// silently decoded into wrong figure data. An entry that fails any of those checks is quarantined —
 // moved into the CacheDir/corrupt/ sidecar, counted on the
 // experiments.diskcache.corrupt metric, journaled — and the point is
 // recomputed, so corruption costs one recompute and leaves evidence,
@@ -34,17 +34,23 @@ import (
 // diskCacheVersion invalidates all persisted entries when the cached
 // format — or the simulation's observable output — changes. Bump it in any
 // PR that changes figure numbers. v3: entries grew the self-verifying
-// envelope.
-const diskCacheVersion = 3
+// envelope. v4: the payload moved from gob to the point codec.
+const diskCacheVersion = 4
 
 // Envelope layout: magic (4) | format version (1) | payload CRC32C,
-// big-endian (4) | gob payload.
+// big-endian (4) | point-codec payload. Envelope version 1 carried gob.
 var cacheMagic = []byte("JVPC")
 
 const (
-	cacheEnvelopeVersion = 1
+	cacheEnvelopeVersion = 2
 	cacheHeaderLen       = 4 + 1 + 4
 )
+
+// errStaleCacheEntry marks a sealed entry written by an older build under
+// an earlier envelope version: not corrupt, just unreadable by this build.
+// Its key embeds the older diskCacheVersion, so live runs never look it
+// up; fsck reports it as stale and leaves it in place.
+var errStaleCacheEntry = errors.New("stale entry from an older cache format")
 
 // corruptDirName is the quarantine sidecar under CacheDir: corrupt entries
 // are moved, not deleted, so a corruption event stays inspectable.
@@ -77,7 +83,27 @@ type cachedPoint struct {
 	FaultCounts   map[string]int64
 }
 
-// sealCacheEntry wraps a gob payload in the self-verifying envelope.
+// pointOf is the persisted subset of res.
+func pointOf(res *core.Result) cachedPoint {
+	return cachedPoint{
+		Decomposition: res.Decomposition,
+		GCStats:       res.GCStats,
+		LoadedClasses: res.LoadedClasses,
+		FaultCounts:   res.FaultCounts,
+	}
+}
+
+// result rebuilds the (Meter-less) result a persisted point stands for.
+func (c cachedPoint) result() *core.Result {
+	return &core.Result{
+		Decomposition: c.Decomposition,
+		GCStats:       c.GCStats,
+		LoadedClasses: c.LoadedClasses,
+		FaultCounts:   c.FaultCounts,
+	}
+}
+
+// sealCacheEntry wraps a payload in the self-verifying envelope.
 func sealCacheEntry(payload []byte) []byte {
 	out := make([]byte, 0, cacheHeaderLen+len(payload))
 	out = append(out, cacheMagic...)
@@ -90,7 +116,7 @@ func sealCacheEntry(payload []byte) []byte {
 // polynomial the journal envelope uses).
 var castagnoliCache = crc32.MakeTable(crc32.Castagnoli)
 
-// openCacheEntry verifies an entry's envelope and returns the gob payload.
+// openCacheEntry verifies an entry's envelope and returns the payload.
 func openCacheEntry(data []byte) ([]byte, error) {
 	if len(data) < cacheHeaderLen {
 		return nil, fmt.Errorf("entry too short for envelope (%d bytes)", len(data))
@@ -99,6 +125,9 @@ func openCacheEntry(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("bad magic %q (not a sealed cache entry)", data[:4])
 	}
 	if v := data[4]; v != cacheEnvelopeVersion {
+		if v >= 1 && v < cacheEnvelopeVersion {
+			return nil, fmt.Errorf("envelope version %d: %w", v, errStaleCacheEntry)
+		}
 		return nil, fmt.Errorf("unknown envelope version %d", v)
 	}
 	want := binary.BigEndian.Uint32(data[5:9])
@@ -109,35 +138,37 @@ func openCacheEntry(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// loadPoint returns the persisted result for k, if the disk cache is
-// enabled and holds a verifiably intact entry. A corrupt entry is
+// decodeCacheEntry runs the full validity check on one entry's bytes —
+// envelope, then payload — and returns the decoded point.
+func decodeCacheEntry(data []byte) (cachedPoint, error) {
+	var c cachedPoint
+	payload, err := openCacheEntry(data)
+	if err != nil {
+		return c, err
+	}
+	err = decodePoint(payload, &c)
+	return c, err
+}
+
+// loadPoint returns the persisted result under disk key dk, if the disk
+// cache is enabled and holds a verifiably intact entry. A corrupt entry is
 // quarantined and reported as a miss — the caller recomputes, so a flipped
 // bit costs one characterization, never a wrong figure.
-func (r *Runner) loadPoint(k pointKey) (*core.Result, bool) {
+func (r *Runner) loadPoint(dk string) (*core.Result, bool) {
 	if r.CacheDir == "" {
 		return nil, false
 	}
-	path := filepath.Join(r.CacheDir, r.diskKey(k))
+	path := filepath.Join(r.CacheDir, dk)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false
 	}
-	payload, err := openCacheEntry(data)
+	c, err := decodeCacheEntry(data)
 	if err != nil {
 		r.quarantine(path, err)
 		return nil, false
 	}
-	var c cachedPoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
-		r.quarantine(path, fmt.Errorf("gob payload: %w", err))
-		return nil, false
-	}
-	return &core.Result{
-		Decomposition: c.Decomposition,
-		GCStats:       c.GCStats,
-		LoadedClasses: c.LoadedClasses,
-		FaultCounts:   c.FaultCounts,
-	}, true
+	return c.result(), true
 }
 
 // quarantine moves a corrupt cache entry into the sidecar dir (falling
@@ -175,17 +206,17 @@ type CacheEvent struct {
 // they are no longer silent either: each one bumps
 // experiments.diskcache.write_errors and the first journals a warning, so
 // a full disk reads as a failing cache instead of a permanently cold one.
-func (r *Runner) storePoint(k pointKey, res *core.Result) {
+func (r *Runner) storePoint(dk string, res *core.Result) {
 	if r.CacheDir == "" {
 		return
 	}
-	if err := r.storePointFile(k, res); err != nil {
+	if err := r.storePointFile(dk, res); err != nil {
 		r.Metrics.Counter("experiments.diskcache.write_errors").Inc()
 		r.cacheWarnOnce.Do(func() {
 			if r.Journal != nil {
 				_ = r.Journal.Record(CacheEvent{
 					Event: "cache", Kind: "write_error",
-					File:  r.diskKey(k),
+					File:  dk,
 					Error: fmt.Sprintf("%v (first of possibly many; see experiments.diskcache.write_errors)", err),
 				})
 			}
@@ -193,7 +224,7 @@ func (r *Runner) storePoint(k pointKey, res *core.Result) {
 	}
 }
 
-// storePointFile does the write: seal the gob payload in the envelope,
+// storePointFile does the write: seal the encoded point in the envelope,
 // fsync a unique temp file, rename into place. The unique temp file means
 // concurrent writers of the same key — singleflight bounds those to one
 // per process, but nothing stops two `experiments -cache DIR` processes
@@ -201,27 +232,18 @@ func (r *Runner) storePoint(k pointKey, res *core.Result) {
 // and the fsync+rename means a crash leaves either the old entry or the
 // complete new one, never a torn file (and if the disk lies, the envelope
 // checksum catches it on load).
-func (r *Runner) storePointFile(k pointKey, res *core.Result) error {
+func (r *Runner) storePointFile(dk string, res *core.Result) error {
 	if err := os.MkdirAll(r.CacheDir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(r.CacheDir, r.diskKey(k))
-	c := cachedPoint{
-		Decomposition: res.Decomposition,
-		GCStats:       res.GCStats,
-		LoadedClasses: res.LoadedClasses,
-		FaultCounts:   res.FaultCounts,
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&c); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(r.CacheDir, r.diskKey(k)+".*.tmp")
+	path := filepath.Join(r.CacheDir, dk)
+	c := pointOf(res)
+	f, err := os.CreateTemp(r.CacheDir, dk+".*.tmp")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(sealCacheEntry(payload.Bytes())); err != nil {
+	if _, err := f.Write(sealCacheEntry(encodePoint(&c))); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -16,9 +16,10 @@ import (
 // transport. When Runner.Fleet is set, runPoint routes every computed
 // point to a remote executor node; the node computes through the exact
 // resilience stack the in-process path uses (HandleSpec below is the node
-// side) and the result payload is the same workerResult gob a pipe worker
-// returns — so in-process, isolated, and fleet campaigns are byte-identical
-// at the same seed, which is what the cross-node determinism gate pins.
+// side) and the result payload is the same encoded workerResult a pipe
+// worker returns (pointcodec.go) — so in-process, isolated, and fleet
+// campaigns are byte-identical at the same seed, which is what the
+// cross-node determinism gate pins.
 //
 // Sharding: each point's shard key is figure|sweep-group, so a figure's
 // heap sweep prefers one node; the coordinator steals across nodes under
@@ -51,12 +52,11 @@ func (r *Runner) ObserveNodeEvent(node, event, detail string) {
 	}
 }
 
-// computeFleet produces one point's result on a remote fleet node. The
-// result is persisted to the disk cache exactly as the other paths would,
-// so fleet and local campaigns interoperate through the same cache. Node
-// deaths come back as *supervisor.CrashError (disconnect, partition,
-// protocol, spawn, timeout), which is what feeds the per-figure breakers.
-func (r *Runner) computeFleet(p Point, k pointKey) (*core.Result, int, error) {
+// computeFleet produces one point's result on a remote fleet node, deduped
+// fleet-wide under the point's disk key dk. Node deaths come back as
+// *supervisor.CrashError (disconnect, partition, protocol, spawn,
+// timeout), which is what feeds the per-figure breakers.
+func (r *Runner) computeFleet(p Point, k pointKey, dk string) (*core.Result, int, error) {
 	ctx := r.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -65,7 +65,7 @@ func (r *Runner) computeFleet(p Point, k pointKey) (*core.Result, int, error) {
 	fig := r.activeFig
 	r.figMu.Unlock()
 	shard := fig + "|" + sweepGroupKey(k)
-	payload, err := r.Fleet.Run(ctx, shard, r.diskKey(k), r.wireSpec(p))
+	payload, err := r.Fleet.Run(ctx, shard, dk, r.wireSpec(p))
 	if err != nil {
 		if ce, ok := supervisor.AsCrash(err); ok {
 			r.Metrics.Counter("experiments.fleet.crashes").Inc()
@@ -77,25 +77,19 @@ func (r *Runner) computeFleet(p Point, k pointKey) (*core.Result, int, error) {
 	if err != nil {
 		return nil, attempts, err
 	}
-	r.storePoint(k, res)
 	r.Metrics.Counter("experiments.fleet.points").Inc()
 	return res, attempts, nil
 }
 
 // HandleSpec is the fleet node's point handler: it reconstructs the point
 // and computes through the same resilience stack as every other path,
-// returning the workerResult gob the coordinator decodes. Errors encode
-// into the payload rather than escaping — a node answers every task it
-// accepts (transport-level chaos is injected below this layer).
+// returning the encoded workerResult the coordinator decodes. Errors
+// encode into the payload rather than escaping — a node answers every task
+// it accepts (transport-level chaos is injected below this layer).
 func HandleSpec(spec pointproto.Spec) []byte {
 	inner, p, perr := rebuild(spec)
-	payload, err := encodeWorkerResult(specResult(inner, p, perr))
-	if err != nil {
-		// Unreachable for the types involved; an empty payload classifies
-		// coordinator-side as a protocol crash, which is the right signal.
-		return nil
-	}
-	return payload
+	wr := specResult(inner, p, perr)
+	return encodePoint(&wr)
 }
 
 // ServeNode runs one fleet executor node on addr until ctx is cancelled or

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -28,6 +27,10 @@ type FsckReport struct {
 	// found invalid (and therefore quarantined).
 	CacheScanned int
 	CacheCorrupt int
+	// CacheStale counts intact-looking entries sealed by an older build's
+	// envelope version. They are neither corrupt nor readable here; they
+	// stay in place and do not make the pass corrupt.
+	CacheStale int
 	// JournalSalvage is the journal decode accounting; zero-valued when no
 	// journal was checked.
 	JournalSalvage metrics.SalvageReport
@@ -67,9 +70,10 @@ func Fsck(w io.Writer, cacheDir, journalPath string, repair bool) (FsckReport, e
 }
 
 // fsckCache verifies every .point entry in dir: envelope intact, payload
-// checksum valid, gob payload decodable. Invalid entries move to the
-// corrupt/ sidecar — the same quarantine a live load performs, minus the
-// recompute.
+// checksum valid, payload decodable. Invalid entries move to the corrupt/
+// sidecar — the same quarantine a live load performs, minus the
+// recompute. Entries from an older envelope version are counted as stale
+// and left alone.
 func fsckCache(w io.Writer, dir string, rep *FsckReport) error {
 	entries, err := filepath.Glob(filepath.Join(dir, "*.point"))
 	if err != nil {
@@ -82,8 +86,13 @@ func fsckCache(w io.Writer, dir string, rep *FsckReport) error {
 		if err != nil {
 			return fmt.Errorf("fsck: %w", err)
 		}
-		cause := verifyCacheEntry(data)
+		_, cause := decodeCacheEntry(data)
 		if cause == nil {
+			continue
+		}
+		if errors.Is(cause, errStaleCacheEntry) {
+			rep.CacheStale++
+			fmt.Fprintf(w, "fsck: cache entry %s: %v (left in place)\n", filepath.Base(path), cause)
 			continue
 		}
 		rep.CacheCorrupt++
@@ -97,22 +106,8 @@ func fsckCache(w io.Writer, dir string, rep *FsckReport) error {
 		}
 		fmt.Fprintf(w, "fsck: cache entry %s: %v (%s)\n", filepath.Base(path), cause, disposition)
 	}
-	fmt.Fprintf(w, "fsck: cache %s: %d entr%s scanned, %d corrupt\n",
-		dir, rep.CacheScanned, plural(rep.CacheScanned, "y", "ies"), rep.CacheCorrupt)
-	return nil
-}
-
-// verifyCacheEntry runs the full validity check on one entry's bytes:
-// envelope plus gob payload. Nil means intact.
-func verifyCacheEntry(data []byte) error {
-	payload, err := openCacheEntry(data)
-	if err != nil {
-		return err
-	}
-	var c cachedPoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
-		return fmt.Errorf("gob payload: %w", err)
-	}
+	fmt.Fprintf(w, "fsck: cache %s: %d entr%s scanned, %d corrupt, %d stale\n",
+		dir, rep.CacheScanned, plural(rep.CacheScanned, "y", "ies"), rep.CacheCorrupt, rep.CacheStale)
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,6 +71,40 @@ func TestFsckQuarantinesCorruptCacheEntry(t *testing.T) {
 	}
 	if _, err := os.Stat(entry); !os.IsNotExist(err) {
 		t.Fatalf("corrupt entry still in cache dir (stat err %v)", err)
+	}
+}
+
+// TestFsckReportsStaleEnvelopeVersion: an entry sealed by an older build
+// (envelope version 1, a gob payload) beside a current one is reported as
+// stale in its own count — left in place, not quarantined, and not
+// corruption, so the -fsck exit code stays 0.
+func TestFsckReportsStaleEnvelopeVersion(t *testing.T) {
+	entry, _, _ := cacheEntryPath(t)
+	dir := filepath.Dir(entry)
+	payload := []byte("\x1f\xff\x81\x03\x01\x01\x0bcachedPoint\x01\xff\x82") // a gob type header
+	old := append([]byte("JVPC"), 1)
+	old = binary.BigEndian.AppendUint32(old, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	old = append(old, payload...)
+	stale := filepath.Join(dir, "0123456789abcdef01234567.point")
+	if err := os.WriteFile(stale, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	rep, err := Fsck(&out, dir, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt() || rep.CacheCorrupt != 0 || rep.CacheStale != 1 || rep.CacheScanned != 2 {
+		t.Fatalf("fsck over one current and one stale entry: %+v\n%s", rep, out.String())
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("stale entry moved: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, corruptDirName)); !os.IsNotExist(err) {
+		t.Fatalf("quarantine sidecar created for a stale entry (stat err %v)", err)
+	}
+	if !strings.Contains(out.String(), "1 stale") || !strings.Contains(out.String(), "fsck: clean") {
+		t.Fatalf("report does not name the stale entry:\n%s", out.String())
 	}
 }
 

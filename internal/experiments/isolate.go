@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -31,13 +29,11 @@ import (
 // a figure's circuit breaker when Runner.BreakerThreshold is unset.
 const defaultBreakerThreshold = 3
 
-// computeIsolated produces one point's result on a supervised worker. The
-// result is persisted to the disk cache exactly as computeResilient would
-// have, so isolated and in-process campaigns interoperate through the same
-// cache. Worker deaths come back as *supervisor.CrashError; a worker that
+// computeIsolated produces one point's result on a supervised worker.
+// Worker deaths come back as *supervisor.CrashError; a worker that
 // stayed alive and reported a point failure comes back as a plain error
 // carrying the same string the in-process path would have produced.
-func (r *Runner) computeIsolated(p Point, k pointKey) (*core.Result, int, error) {
+func (r *Runner) computeIsolated(p Point) (*core.Result, int, error) {
 	ctx := r.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -54,7 +50,6 @@ func (r *Runner) computeIsolated(p Point, k pointKey) (*core.Result, int, error)
 	if err != nil {
 		return nil, attempts, err
 	}
-	r.storePoint(k, res)
 	r.Metrics.Counter("experiments.isolated.points").Inc()
 	return res, attempts, nil
 }
@@ -84,19 +79,14 @@ func (r *Runner) wireSpec(p Point) pointproto.Spec {
 // the same string the in-process path would have produced.
 func decodePointPayload(p Point, payload []byte) (*core.Result, int, error) {
 	var wr workerResult
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wr); err != nil {
+	if err := decodePoint(payload, &wr); err != nil {
 		return nil, 0, fmt.Errorf("experiments: %s: %w", p,
 			&supervisor.CrashError{Kind: supervisor.CrashProtocol, Detail: "undecodable result payload: " + err.Error()})
 	}
 	if !wr.OK {
 		return nil, wr.Attempts, errors.New(wr.Err)
 	}
-	return &core.Result{
-		Decomposition: wr.Point.Decomposition,
-		GCStats:       wr.Point.GCStats,
-		LoadedClasses: wr.Point.LoadedClasses,
-		FaultCounts:   wr.Point.FaultCounts,
-	}, wr.Attempts, nil
+	return wr.Point.result(), wr.Attempts, nil
 }
 
 // breaker returns the figure's circuit breaker, creating it on first use.

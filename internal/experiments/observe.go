@@ -92,6 +92,9 @@ type FaultEvent struct {
 // runPoint produces one point's result — from the on-disk cache when
 // enabled and populated, otherwise by characterizing — and observes the
 // outcome: latency histogram, cache-split counters, one journal event.
+// The point's disk key is hashed once here and handed to every layer that
+// addresses the point by content: the disk cache, the cross-runner
+// flights and the fleet's dedupe.
 // A panic anywhere below (a simulator bug) is recovered into the returned
 // error, so the singleflight entry caches a diagnosis instead of stranding
 // its waiters.
@@ -110,7 +113,8 @@ func (r *Runner) runPoint(p Point, k pointKey) (res *core.Result, err error) {
 		}
 		r.observePoint(p, source, time.Since(start), attempts, memo, err)
 	}()
-	if cached, ok := r.loadPoint(k); ok {
+	dk := r.diskKey(k)
+	if cached, ok := r.loadPoint(dk); ok {
 		source = "disk"
 		if r.resumed(k) {
 			// A prior run's journal marked this point done and the disk
@@ -123,27 +127,34 @@ func (r *Runner) runPoint(p Point, k pointKey) (res *core.Result, err error) {
 	if r.Shared != nil {
 		// Cross-runner dedupe: coalesce with any other runner's in-flight
 		// computation of this content-addressed key (see shared.go).
-		res, source, attempts, err = r.Shared.compute(r, p, k)
+		res, source, attempts, err = r.Shared.compute(r, p, k, dk)
 		return res, err
 	}
-	res, source, attempts, err = r.computePoint(p, k)
+	res, source, attempts, err = r.computePoint(p, k, dk)
 	return res, err
 }
 
-// computePoint routes one cache-missed point to its executor: the fleet,
+// computePoint routes one cache-missed point to its executor — the fleet,
 // a supervised worker, or the in-process resilience stack, reporting
-// which as the journal source.
-func (r *Runner) computePoint(p Point, k pointKey) (*core.Result, string, int, error) {
-	if r.Fleet != nil {
-		res, attempts, err := r.computeFleet(p, k)
-		return res, "fleet", attempts, err
+// which as the journal source — and persists a completed result to the
+// disk cache under dk, so every executor's results interoperate through
+// the same cache.
+func (r *Runner) computePoint(p Point, k pointKey, dk string) (res *core.Result, source string, attempts int, err error) {
+	switch {
+	case r.Fleet != nil:
+		source = "fleet"
+		res, attempts, err = r.computeFleet(p, k, dk)
+	case r.Supervisor != nil:
+		source = "isolated"
+		res, attempts, err = r.computeIsolated(p)
+	default:
+		source = "computed"
+		res, attempts, err = r.computeResilient(p)
 	}
-	if r.Supervisor != nil {
-		res, attempts, err := r.computeIsolated(p, k)
-		return res, "isolated", attempts, err
+	if err == nil {
+		r.storePoint(dk, res)
 	}
-	res, attempts, err := r.computeResilient(p, k)
-	return res, "computed", attempts, err
+	return res, source, attempts, err
 }
 
 // observePoint records one completed point in the registry and journal.

@@ -122,8 +122,7 @@ const retryBackoffBase = 2 * time.Millisecond
 // stack: Reps quorum repetitions, each with bounded transient-fault
 // retries, per-attempt timeout and panic isolation. It returns the result,
 // the total number of characterization attempts, and the terminal error.
-// On success the quorum-selected result is persisted to the disk cache.
-func (r *Runner) computeResilient(p Point, k pointKey) (*core.Result, int, error) {
+func (r *Runner) computeResilient(p Point) (*core.Result, int, error) {
 	reps := r.Reps
 	if reps < 1 {
 		reps = 1
@@ -149,9 +148,7 @@ func (r *Runner) computeResilient(p Point, k pointKey) (*core.Result, int, error
 	if len(results) == 0 {
 		return nil, attempts, lastErr
 	}
-	res := quorumSelect(results)
-	r.storePoint(k, res)
-	return res, attempts, nil
+	return quorumSelect(results), attempts, nil
 }
 
 // repSeed derives the simulation seed for repetition rep. Repetition 0

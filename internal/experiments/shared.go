@@ -40,15 +40,14 @@ func NewSharedFlights() *SharedFlights {
 }
 
 // compute produces one point's result, coalescing with any other runner's
-// in-flight computation of the same content-addressed key. The first
-// caller owns the computation (through the runner's normal fleet /
-// isolated / in-process path); joiners wait and share the outcome with
-// source "shared". Deterministic failures are shared too — the simulation
+// in-flight computation of the same content-addressed key — the point's
+// disk key, computed once by runPoint. The first caller owns the
+// computation (through the runner's normal fleet / isolated / in-process
+// path); joiners wait and share the outcome with source "shared". Deterministic failures are shared too — the simulation
 // would fail identically for every joiner — but an owner cancelled by its
 // *own* job's context must not poison the others: joiners detect
 // context.Canceled and retake ownership.
-func (s *SharedFlights) compute(r *Runner, p Point, k pointKey) (*core.Result, string, int, error) {
-	key := r.diskKey(k)
+func (s *SharedFlights) compute(r *Runner, p Point, k pointKey, key string) (*core.Result, string, int, error) {
 	for {
 		s.mu.Lock()
 		if f, ok := s.flights[key]; ok {
@@ -98,7 +97,7 @@ func (s *SharedFlights) own(r *Runner, p Point, k pointKey, key string, f *share
 		s.mu.Unlock()
 		close(f.ready)
 	}()
-	res, source, attempts, err = r.computePoint(p, k)
+	res, source, attempts, err = r.computePoint(p, k, key)
 	return res, source, attempts, err
 }
 
@@ -108,10 +107,5 @@ func shareable(res *core.Result) *core.Result {
 	if res == nil {
 		return nil
 	}
-	return &core.Result{
-		Decomposition: res.Decomposition,
-		GCStats:       res.GCStats,
-		LoadedClasses: res.LoadedClasses,
-		FaultCounts:   res.FaultCounts,
-	}
+	return pointOf(res).result()
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -22,11 +20,11 @@ import (
 // point and an inner Runner from it and computes through the exact
 // resilience stack the in-process path uses (computeResilient: quorum
 // repetitions, transient-fault retries, panic isolation), streaming
-// heartbeats while it works. The result payload is the gob of a
-// workerResult — whose Point field is the same cachedPoint the disk cache
-// persists — so the parent consumes an isolated result exactly as it
-// consumes a cache hit, which is what makes isolated and in-process runs
-// byte-identical at the same seed.
+// heartbeats while it works. The result payload is the point codec's
+// encoding of a workerResult — whose Point field is the same cachedPoint
+// the disk cache persists — so the parent consumes an isolated result
+// exactly as it consumes a cache hit, which is what makes isolated and
+// in-process runs byte-identical at the same seed.
 
 // workerHeartbeatInterval paces liveness frames during a point. It must sit
 // well under any plausible supervisor heartbeat budget (default 2s).
@@ -124,11 +122,7 @@ func serveSpec(out io.Writer, spec pointproto.Spec) error {
 				return err
 			}
 		case wr := <-resCh:
-			payload, err := encodeWorkerResult(wr)
-			if err != nil {
-				return err
-			}
-			return pointproto.WriteFrame(out, pointproto.MsgResult, payload)
+			return pointproto.WriteFrame(out, pointproto.MsgResult, encodePoint(&wr))
 		}
 	}
 }
@@ -140,31 +134,11 @@ func specResult(inner *Runner, p Point, perr error) workerResult {
 	if perr != nil {
 		return workerResult{Err: perr.Error(), Attempts: 1}
 	}
-	res, attempts, err := inner.computeResilient(p, p.key())
+	res, attempts, err := inner.computeResilient(p)
 	if err != nil {
 		return workerResult{Err: err.Error(), Attempts: attempts}
 	}
-	return workerResult{OK: true, Attempts: attempts, Point: cachedPoint{
-		Decomposition: res.Decomposition,
-		GCStats:       res.GCStats,
-		LoadedClasses: res.LoadedClasses,
-		FaultCounts:   res.FaultCounts,
-	}}
-}
-
-// encodeWorkerResult gob-encodes a result payload, degrading an
-// unencodable result to an encoded error so the peer always gets a
-// decodable payload.
-func encodeWorkerResult(wr workerResult) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wr); err != nil {
-		wr = workerResult{Err: fmt.Sprintf("experiments: worker encoding result: %v", err), Attempts: wr.Attempts}
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(&wr); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
+	return workerResult{OK: true, Attempts: attempts, Point: pointOf(res)}
 }
 
 // rebuild reconstructs the characterization point and an inner Runner from

@@ -30,7 +30,7 @@ type ServeConfig struct {
 	// Defaults to GOMAXPROCS.
 	Capacity int
 	// Handler computes one point and returns its opaque result payload
-	// (the experiments layer returns the same gob a pipe worker's
+	// (the experiments layer returns the same encoded result a pipe worker's
 	// MsgResult carries, which is what keeps fleet runs byte-identical).
 	Handler func(pointproto.Spec) []byte
 	// HeartbeatInterval paces liveness ticks. Defaults to 500ms.

@@ -29,12 +29,13 @@ import (
 
 // Version is the protocol version carried in the Hello handshake; parent
 // and worker must agree exactly (they are the same binary in normal use,
-// but a stale worker on PATH must be rejected, not misparsed).
-const Version = 1
+// but a stale worker on PATH must be rejected, not misparsed). v2: result
+// payloads moved from gob to the experiments layer's point codec.
+const Version = 2
 
 // MaxPayload bounds any single frame's payload. Specs are tens of bytes
-// and results are a few kilobytes of gob; anything near the cap is a
-// corrupt length prefix.
+// and encoded results a few kilobytes; anything near the cap is a corrupt
+// length prefix.
 const MaxPayload = 1 << 24
 
 // MsgType identifies a frame's payload.
