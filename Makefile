@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check ci fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke perfbench bench bench-overhead bench-faults bench-isolate bench-memo bench-fleet bench-sync bench-steady bench-gate bench-smoke
+.PHONY: build test vet race check ci fuzz fuzz-smoke fleet-smoke crash-torture daemon-smoke perfbench bench bench-overhead bench-faults bench-isolate bench-fleet bench-sync bench-gate bench-smoke
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,7 @@ vet:
 # (watchdogs, kills, restarts) with its framed protocol, the fleet
 # coordinator (socket transport, work stealing, requeue, node breakers),
 # and the job queue (admission, quotas, drain, concurrent submitters).
-# The experiments package runs the full determinism suite (isolated, memo,
+# The experiments package runs the full determinism suite (isolated,
 # fleet, resume, daemon) under the detector, which takes ~11 minutes on a
 # single core — past go test's default 10m per-package limit, hence the
 # explicit timeout.
@@ -112,13 +112,6 @@ bench-faults:
 bench-isolate:
 	./bench.sh BENCH_4.json isolate
 
-# bench-memo regenerates BENCH_5.json: the sweep-fork memoization speedup
-# on the Fig. 7 hot path; the comparison is significance-tested and the
-# frozen BENCH_4 median rides along as an environment-tagged legacy
-# baseline (the 2x acceptance floor was recorded on that machine).
-bench-memo:
-	./bench.sh BENCH_5.json memo
-
 # bench-fleet regenerates BENCH_7.json: the socket transport's coordination
 # overhead on the Fig. 7 hot path — bare vs every point dispatched to two
 # loopback executor nodes (framing, result encoding, scheduling, loopback
@@ -135,15 +128,6 @@ bench-fleet:
 bench-sync:
 	./bench.sh BENCH_8.json sync
 
-# bench-steady regenerates BENCH_6.json: one in-process series of the
-# Fig. 7 benchmark bare and memoized with per-iteration timings, segmented
-# into warmup and steady state by changepoint detection, with bootstrap
-# percentile CIs on the steady-state medians and a Mann–Whitney-tested
-# memo_vs_bare comparison. This is the statistics-sound successor to the
-# repetition modes above.
-bench-steady:
-	./bench.sh BENCH_6.json steady
-
 # bench-gate is the CI regression gate's self-consistency check: two
 # independent gate-mode passes of the Fig. 7 benchmark on the same SHA,
 # diffed with a significance test. Same code, same machine → the diff
@@ -158,10 +142,9 @@ bench-gate:
 	$(GO) run ./cmd/benchgate diff bench-gate-a.json bench-gate-b.json -budget 5
 
 # bench-smoke is the CI-sized benchmark gate: one repetition of the Fig. 7
-# benchmark bare and with the memo store enabled. It is a correctness
-# check, not a timing claim — the memo variant fails the run unless the
-# store actually hits — so it is the one benchmark target CI runs. The CPU
-# profile lands in bench-smoke.prof (with the test binary kept alongside
-# for `go tool pprof`) and CI uploads both as an artifact.
+# benchmark. It is a smoke check that the hot path still runs, not a timing
+# claim, so it is the one benchmark target CI runs. The CPU profile lands
+# in bench-smoke.prof (with the test binary kept alongside for
+# `go tool pprof`) and CI uploads both as an artifact.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig7EDP$$|BenchmarkFig7EDPMemo$$' -benchmem -count=1 -cpuprofile bench-smoke.prof .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig7EDP$$' -benchmem -count=1 -cpuprofile bench-smoke.prof .

@@ -120,7 +120,7 @@ func (b *Benchmark) Samples() []float64 {
 // variant and a baseline benchmark from the same run. It replaces the old
 // binary below_noise flag: EffectPct is only a claim when Significant.
 type Comparison struct {
-	Name        string  `json:"name"`       // e.g. "memo_vs_bare"
+	Name        string  `json:"name"`       // e.g. "fleet_vs_bare"
 	Variant     string  `json:"variant"`    // benchmark name
 	Baseline    string  `json:"baseline"`   // benchmark name
 	EffectPct   float64 `json:"effect_pct"` // (median(variant)/median(baseline) − 1)·100

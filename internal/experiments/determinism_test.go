@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"jvmpower/internal/core"
+	"jvmpower/internal/gc"
 	"jvmpower/internal/platform"
 	"jvmpower/internal/vm"
 	"jvmpower/internal/workloads"
@@ -58,6 +60,39 @@ func TestRunAllMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		samePoint(t, p.Bench.Name+"/"+p.Collector, a, b)
+	}
+}
+
+// TestMemoShuffledCompletionOrder renders Fig. 7 once on a plain runner
+// and then, for several seeded shuffles of the full Jikes point matrix,
+// on a fresh runner whose RunAll dispatches the points in that shuffled
+// order first. The figure must render byte-identically whatever order the
+// points were dispatched and completed in. (The name dates from the
+// sweep-fork memo layer, which this check once gated.)
+func TestMemoShuffledCompletionOrder(t *testing.T) {
+	var bare strings.Builder
+	r1 := quickRunner(&bare)
+	if err := r1.RunFigure("fig7"); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, seed := range []int64{1, 2, 3} {
+		var shuffled strings.Builder
+		r2 := quickRunner(&shuffled)
+		pts := r2.jikesMatrix(gc.PlanNames())
+		rand.New(rand.NewSource(seed)).Shuffle(len(pts), func(i, j int) {
+			pts[i], pts[j] = pts[j], pts[i]
+		})
+		if err := r2.RunAll(pts); err != nil {
+			t.Fatal(err)
+		}
+		if err := r2.RunFigure("fig7"); err != nil {
+			t.Fatal(err)
+		}
+		if bare.String() != shuffled.String() {
+			t.Fatalf("shuffle %d: output differs from in-order output\n-- in order --\n%s\n-- shuffled --\n%s",
+				seed, bare.String(), shuffled.String())
+		}
 	}
 }
 

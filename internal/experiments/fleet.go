@@ -64,7 +64,10 @@ func (r *Runner) computeFleet(p Point, k pointKey, dk string) (*core.Result, int
 	r.figMu.Lock()
 	fig := r.activeFig
 	r.figMu.Unlock()
-	shard := fig + "|" + sweepGroupKey(k)
+	// Shard by figure and heap sweep: every pointKey field but the heap
+	// size, so a figure's sweep lands on one node.
+	shard := fmt.Sprintf("%s|%s|%d|%s|%s|%t|%t",
+		fig, k.bench, k.flavor, k.collector, k.platform, k.s10, k.fanOff)
 	payload, err := r.Fleet.Run(ctx, shard, dk, r.wireSpec(p))
 	if err != nil {
 		if ce, ok := supervisor.AsCrash(err); ok {

@@ -27,7 +27,7 @@ import (
 //     lexicographically smallest wins so ties resolve without reference to
 //     arrival order;
 //   - the survivors are emitted sorted by point identity with the volatile
-//     fields (source, duration, attempts, memo) dropped or canonicalized —
+//     fields (source, duration, attempts) dropped or canonicalized —
 //     Source becomes "merged".
 //
 // Merging the same shards in any order therefore produces byte-identical

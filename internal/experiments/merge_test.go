@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,9 @@ func writeShardJournal(t *testing.T, path string, events ...any) {
 // the same set of shard journals in every permutation must produce
 // byte-identical output and the same resolved point set — ok beating
 // error, and error ties breaking lexicographically rather than by arrival
-// order. Non-point lines (node, fault) must not leak into the merge.
+// order. Non-point lines (node, fault) must not leak into the merge, and a
+// point record from an older journal carrying the since-removed "memo"
+// field resolves like any other.
 func TestMergeJournalsOrderIndependent(t *testing.T) {
 	dir := t.TempDir()
 	pe := func(bench string, heap int, outcome, errstr string) PointEvent {
@@ -56,6 +59,7 @@ func TestMergeJournalsOrderIndependent(t *testing.T) {
 	writeShardJournal(t, c,
 		pe("_213_javac", 64, "error", "aaa: smallest error string wins the tie"),
 		pe("_202_jess", 32, "ok", ""), // duplicate ok — must not double-count
+		json.RawMessage(`{"bench":"_228_jack","flavor":"JikesRVM","collector":"GenMS","heap_mb":48,"platform":"P6","outcome":"ok","source":"computed","duration_ms":9.5,"attempts":1,"memo":"hit"}`),
 	)
 
 	perms := [][]string{
@@ -83,16 +87,19 @@ func TestMergeJournalsOrderIndependent(t *testing.T) {
 			t.Fatalf("permutation %v resolved %d ok points, want %d", p, n, wantOK)
 		}
 	}
-	if wantOK != 2 {
-		t.Fatalf("merged ok count = %d, want 2", wantOK)
+	if wantOK != 3 {
+		t.Fatalf("merged ok count = %d, want 3", wantOK)
+	}
+	if strings.Contains(want, "memo") {
+		t.Fatalf("legacy memo field leaked into merged journal:\n%s", want)
 	}
 
 	evs, err := metrics.DecodeJournal[mergeEvent](strings.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 3 {
-		t.Fatalf("merged journal has %d lines, want 3 resolved points", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("merged journal has %d lines, want 4 resolved points", len(evs))
 	}
 	outcomes := make(map[string]mergeEvent)
 	for _, ev := range evs {
@@ -106,6 +113,9 @@ func TestMergeJournalsOrderIndependent(t *testing.T) {
 	}
 	if ev := outcomes["_213_javac"]; ev.Outcome != "error" || !strings.HasPrefix(ev.Error, "aaa") {
 		t.Fatalf("_213_javac resolved (%q, %q), want the lexicographically smallest error", ev.Outcome, ev.Error)
+	}
+	if ev := outcomes["_228_jack"]; ev.Outcome != "ok" || ev.HeapMB != 48 {
+		t.Fatalf("legacy record resolved as %+v, want an ok point at 48 MB", ev)
 	}
 }
 
